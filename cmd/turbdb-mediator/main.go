@@ -14,12 +14,12 @@
 // nothing. SIGINT/SIGTERM drain in-flight queries for -drain, then cancel
 // them.
 //
-// -replicas k enables replica failover: the mediator discovers which node
-// holds which ranges from each service's /info (nodes started with
-// -replica-shards advertise their replica holdings), requires every range
-// to be held by at least k nodes, and re-routes a dead primary's ranges to
-// live replicas — partial answers become a last resort reserved for ranges
-// with every holder down.
+// Replica failover is always on: the mediator learns which node holds which
+// ranges from each service's /info (nodes started with -replica-shards
+// advertise their replica holdings) and re-routes a dead primary's ranges
+// to live replicas — partial answers become a last resort reserved for
+// ranges with every holder down. -replicas k only checks at startup that
+// every range has at least k holders.
 //
 // The concurrent query scheduler (on by default, -sched=false for the bare
 // mediator) adds admission control and shared-scan batching in front of the
@@ -46,9 +46,6 @@ import (
 	"time"
 
 	"github.com/turbdb/turbdb/internal/mediator"
-	"github.com/turbdb/turbdb/internal/membership"
-	"github.com/turbdb/turbdb/internal/morton"
-	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/sched"
 	"github.com/turbdb/turbdb/internal/wire"
 )
@@ -84,45 +81,6 @@ func parsePools(spec string) (map[string]sched.Pool, error) {
 	return pools, nil
 }
 
-// discoverTopology builds the replica routing table from the nodes'
-// advertised holdings: range i is node i's primary range, owned by node i
-// plus every node holding a replica covering it.
-func discoverTopology(ctx context.Context, clients []mediator.NodeClient, k int) (*mediator.Topology, error) {
-	descs := make([]node.Description, len(clients))
-	for i, c := range clients {
-		d, err := c.Describe(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("describing node %d: %w", i, err)
-		}
-		descs[i] = d
-	}
-	t := &mediator.Topology{
-		Version: 1,
-		Ranges:  make([]morton.Range, len(clients)),
-		Owners:  make([][]int, len(clients)),
-	}
-	for i, d := range descs {
-		t.Ranges[i] = d.Owned
-		owners := []int{i}
-		for j, dj := range descs {
-			if j == i {
-				continue
-			}
-			for _, h := range dj.Held {
-				if h.Lo <= d.Owned.Lo && d.Owned.Hi <= h.Hi {
-					owners = append(owners, j)
-					break
-				}
-			}
-		}
-		if len(owners) < k {
-			return nil, fmt.Errorf("range %v has %d holders, need %d — start the nodes with -replica-shards", d.Owned, len(owners), k)
-		}
-		t.Owners[i] = owners
-	}
-	return t, nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("turbdb-mediator: ")
@@ -131,7 +89,7 @@ func main() {
 		addr    = flag.String("addr", ":7080", "listen address")
 		nodes   = flag.String("nodes", "", "comma-separated URLs of the node services (required)")
 		partial = flag.Bool("allow-partial", false, "answer from surviving nodes when a node is unreachable (responses carry coverage)")
-		repl    = flag.Int("replicas", 1, "required copies of every range; ≥ 2 enables replica failover from the nodes' advertised holdings")
+		repl    = flag.Int("replicas", 1, "required holders of every range, checked at startup against the nodes' advertised holdings")
 		connTO  = flag.Duration("connect-timeout", 30*time.Second, "deadline for contacting every node at startup")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 		dbgAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (off by default)")
@@ -161,25 +119,18 @@ func main() {
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *connTO)
-	cfg := mediator.Config{
+	m, err := mediator.New(mediator.Config{
 		Nodes: clients, AllowPartial: *partial, DescribeCtx: ctx,
-	}
-	if *repl >= 2 {
-		topo, err := discoverTopology(ctx, clients, *repl)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Topology = topo
-		ids := make([]int, len(clients))
-		for i := range ids {
-			ids[i] = i
-		}
-		cfg.Members = membership.NewTable(ids...)
-	}
-	m, err := mediator.New(cfg)
+	})
 	cancel()
 	if err != nil {
 		log.Fatal(err)
+	}
+	topo := m.Topology()
+	for i, owners := range topo.Owners {
+		if len(owners) < *repl {
+			log.Fatalf("range %v has %d holders, need %d — start the nodes with -replica-shards", topo.Ranges[i], len(owners), *repl)
+		}
 	}
 	var srvOpts []wire.ServerOption
 	if *jsonOnly {

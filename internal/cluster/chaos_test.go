@@ -46,6 +46,13 @@ func (d *dyingClient) GetThreshold(ctx context.Context, p *sim.Proc, q query.Thr
 	return d.NodeClient.GetThreshold(ctx, p, q)
 }
 
+func (d *dyingClient) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
+	if err := d.fail(); err != nil {
+		return nil, err
+	}
+	return d.NodeClient.GetThresholdBatch(ctx, p, qs)
+}
+
 func (d *dyingClient) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*node.PDFResult, error) {
 	if err := d.fail(); err != nil {
 		return nil, err

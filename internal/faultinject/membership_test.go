@@ -11,11 +11,16 @@ import (
 )
 
 // stubNode counts the calls that actually reach the (pretend) node.
-type stubNode struct{ threshold, pdf, topk, mgmt int }
+type stubNode struct{ threshold, batch, pdf, topk, mgmt int }
 
 func (s *stubNode) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*node.ThresholdResult, error) {
 	s.threshold++
 	return &node.ThresholdResult{}, nil
+}
+
+func (s *stubNode) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
+	s.batch++
+	return &node.ThresholdBatchResult{Results: make([]*node.ThresholdResult, len(qs)), Errs: make([]error, len(qs))}, nil
 }
 
 func (s *stubNode) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*node.PDFResult, error) {
@@ -58,6 +63,28 @@ func TestKillPrimaryDownsNodeForGood(t *testing.T) {
 	}
 	if st.threshold != 2 || st.topk != 0 {
 		t.Errorf("node saw %d threshold + %d topk calls, want 2 + 0", st.threshold, st.topk)
+	}
+}
+
+// A shared-scan batch is one "threshold" call to the plan, however many
+// members it carries, and a killed node fails batches like solo queries.
+func TestKillPrimaryCountsBatchAsOneThresholdCall(t *testing.T) {
+	st := &stubNode{}
+	c := WrapNode(st, NewPlan(1, KillPrimary(2, 2)), 2)
+	ctx := context.Background()
+	three := []query.Threshold{{}, {}, {}}
+	if _, err := c.GetThresholdBatch(ctx, nil, three); err != nil {
+		t.Fatalf("batch before the kill point: %v", err)
+	}
+	if _, err := c.GetThreshold(ctx, nil, query.Threshold{}); err != nil {
+		t.Fatalf("solo call before the kill point: %v", err)
+	}
+	var inj *InjectedError
+	if _, err := c.GetThresholdBatch(ctx, nil, three); !errors.As(err, &inj) {
+		t.Fatalf("batch after kill: err = %v, want InjectedError", err)
+	}
+	if st.batch != 1 || st.threshold != 1 {
+		t.Errorf("node saw %d batch + %d solo calls, want 1 + 1", st.batch, st.threshold)
 	}
 }
 

@@ -4,66 +4,21 @@ package mediator
 // same (field, order, step) are pushed to the nodes as ONE request per node,
 // evaluated there in one pass over the union of their boxes, and fanned back
 // out per query. The scheduler (internal/sched) decides WHAT to batch; this
-// file implements HOW a batch crosses the cluster — reusing the replica
-// failover machinery so a batch re-routes per range exactly like a single
-// query does.
+// file implements HOW a batch crosses the cluster — through the same
+// topology fan-out as a single query, so a batch re-routes per range
+// exactly like a single query does.
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"time"
 
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/morton"
-	"github.com/turbdb/turbdb/internal/netmodel"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
 )
-
-// BatchNodeClient is the optional NodeClient extension for shared-scan
-// batching. *node.Node and the wire client implement it; a client that does
-// not is served by SequentialThresholdBatch, so batching degrades to the
-// exact per-query calls it replaced rather than failing.
-type BatchNodeClient interface {
-	NodeClient
-	GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error)
-}
-
-// SequentialThresholdBatch answers a threshold batch member-by-member with
-// plain GetThreshold calls — the compatibility path for node clients without
-// batch support. A transient (availability-class) error fails the whole call
-// so the caller's failover can re-route; a per-member rejection (e.g. over
-// the point limit) lands in Errs like the batched entry point would.
-func SequentialThresholdBatch(ctx context.Context, cli NodeClient, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
-	out := &node.ThresholdBatchResult{
-		Results: make([]*node.ThresholdResult, len(qs)),
-		Errs:    make([]error, len(qs)),
-	}
-	for i, q := range qs {
-		r, err := cli.GetThreshold(ctx, p, q)
-		if err != nil {
-			if faulttol.Transient(err) {
-				return nil, err
-			}
-			out.Errs[i] = err
-			continue
-		}
-		out.Results[i] = r
-	}
-	return out, nil
-}
-
-// callThresholdBatch dispatches a batch to one node client, preferring the
-// shared-scan entry point.
-func callThresholdBatch(ctx context.Context, cli NodeClient, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
-	if bc, ok := cli.(BatchNodeClient); ok {
-		return bc.GetThresholdBatch(ctx, p, qs)
-	}
-	return SequentialThresholdBatch(ctx, cli, p, qs)
-}
 
 // BatchAnswer is one member's result of a batched fan-out: exactly the
 // (points, stats, error) triple the member's solo Threshold call would have
@@ -139,73 +94,20 @@ func (m *Mediator) ThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.T
 	psp.End()
 
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.thresholdBatchReplicated(ctx, p, nqs, start)
-	}
-
-	results := make([]*node.ThresholdBatchResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
-		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := callThresholdBatch(ctx, m.nodes[i], wp, nqs)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, query.WireBytes(batchPoints(results[i])))
-		}
-	})
-	fanout := m.exec.Now() - start
 	cov := &QueryStats{}
-	if err := m.collectFailures(errs, cov); err != nil {
-		mQueryErrs.Add(int64(len(nqs)))
-		return nil, err
-	}
-	ok := results[:0:0]
-	for i, r := range results {
-		if errs[i] == nil && r != nil {
-			ok = append(ok, r)
-		}
-	}
-	return m.mergeBatch(ctx, nqs, ok, cov, fanout, start), nil
-}
-
-// thresholdBatchReplicated is the batch fan-out under replica routing: the
-// whole batch targets ranges, and a failed range fails over to the next
-// replica carrying all members with it.
-func (m *Mediator) thresholdBatchReplicated(ctx context.Context, p *sim.Proc, nqs []query.Threshold, start time.Duration) ([]BatchAnswer, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.ThresholdBatchResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
+	results, err := scatter(m, ctx, p, cov, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.ThresholdBatchResult, error) {
 		qq := make([]query.Threshold, len(nqs))
 		for i := range nqs {
 			qq[i] = nqs[i]
 			qq[i].Scan = scan
 		}
-		r, err := callThresholdBatch(ctx, cli, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, query.WireBytes(batchPoints(r)))
-		}
-		return r, err
-	})
+		return cli.GetThresholdBatch(ctx, wp, qq)
+	}, func(r *node.ThresholdBatchResult) int { return query.WireBytes(batchPoints(r)) })
 	if err != nil {
 		mQueryErrs.Add(int64(len(nqs)))
 		return nil, err
 	}
-	fanout := m.exec.Now() - start
-	cov := &QueryStats{}
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, cov); err != nil {
-		mQueryErrs.Add(int64(len(nqs)))
-		return nil, err
-	}
-	cov.Reroutes = fr.reroutes
-	return m.mergeBatch(ctx, nqs, fr.results, cov, fanout, start), nil
+	return m.mergeBatch(ctx, nqs, results, cov, m.exec.Now()-start, start), nil
 }
 
 // mergeBatch assembles per-member answers from the per-node batch results.
@@ -222,7 +124,7 @@ func (m *Mediator) mergeBatch(ctx context.Context, nqs []query.Threshold, result
 			Failures: cov.Failures,
 			Reroutes: cov.Reroutes,
 		}
-		var pts []query.ResultPoint
+		rs := make([]*node.ThresholdResult, 0, len(results))
 		var memberErr error
 		for _, r := range results {
 			if j >= len(r.Results) {
@@ -233,31 +135,18 @@ func (m *Mediator) mergeBatch(ctx context.Context, nqs []query.Threshold, result
 				memberErr = r.Errs[j]
 				break
 			}
-			rr := r.Results[j]
-			pts = append(pts, rr.Points...)
-			st.NodeCritical.Max(rr.Breakdown)
-			if rr.FromCache {
-				st.CacheHits++
-			}
-			if rr.Shared > 1 {
-				st.SharedScan = true
-			}
-			st.ScansSaved += rr.ScansSaved
-			st.ResponseBytes += query.WireBytes(len(rr.Points))
+			rs = append(rs, r.Results[j])
 		}
-		if memberErr == nil && len(pts) > nqs[j].Limit {
-			memberErr = &query.ErrTooManyPoints{Limit: nqs[j].Limit, Seen: len(pts)}
+		var pts []query.ResultPoint
+		if memberErr == nil {
+			pts, memberErr = mergeThreshold(rs, nqs[j].Limit, st)
 		}
 		if memberErr != nil {
 			mQueryErrs.Inc()
 			answers[j] = BatchAnswer{Err: memberErr}
 			continue
 		}
-		sort.Slice(pts, func(a, b int) bool { return pts[a].Code < pts[b].Code })
-		st.MediatorDBComm = fanout - st.NodeCritical.Total
-		if st.MediatorDBComm < 0 {
-			st.MediatorDBComm = 0
-		}
+		st.MediatorDBComm = max(fanout-st.NodeCritical.Total, 0)
 		st.Points = len(pts)
 		st.Total = m.exec.Now() - start
 		m.noteQuery(st)

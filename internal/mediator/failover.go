@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/membership"
@@ -12,7 +11,6 @@ import (
 	"github.com/turbdb/turbdb/internal/netmodel"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/obs"
-	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
 )
 
@@ -23,10 +21,11 @@ var (
 	mTopoVersion = obs.Default().Gauge("turbdb_topology_version")
 )
 
-// Topology is the mediator's routing table under k-way replication: the
-// Morton ranges of the current placement and, per range, the nodes holding
-// it (primary first). Derived from membership.Placement by cluster
-// assembly; installed atomically via UpdateTopology on every rebalance.
+// Topology is the mediator's routing table: the Morton ranges of the
+// current placement and, per range, the nodes holding it (primary first).
+// New derives a default one from the nodes' descriptions; replicated
+// cluster assembly derives it from membership.Placement and installs a new
+// one atomically via UpdateTopology on every rebalance.
 type Topology struct {
 	// Version identifies the placement (bumped on every rebalance).
 	Version uint64
@@ -69,13 +68,6 @@ type topoSnapshot struct {
 	links   map[int]*netmodel.Link
 }
 
-// replicated reports whether topology routing is enabled.
-func (m *Mediator) replicated() bool {
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	return m.topo != nil
-}
-
 // snapshotTopo copies the routing state under the topology lock.
 func (m *Mediator) snapshotTopo() topoSnapshot {
 	m.topoMu.Lock()
@@ -108,9 +100,6 @@ func (m *Mediator) UpdateTopology(t Topology) error {
 	}
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	if m.clients == nil {
-		return faulttol.Permanent("mediator: not assembled with a topology")
-	}
 	for ri, owners := range nt.Owners {
 		if len(owners) == 0 && !nt.Ranges[ri].Empty() {
 			return faulttol.Permanentf("mediator: range %d has no owners", ri)
@@ -132,9 +121,6 @@ func (m *Mediator) UpdateTopology(t Topology) error {
 // executor; in simulation mode link carries its mediator↔node transfers.
 // ctx bounds the validation round-trip to the node.
 func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link *netmodel.Link) error {
-	if !m.replicated() {
-		return faulttol.Permanent("mediator: not assembled with a topology")
-	}
 	d, err := c.Describe(ctx)
 	if err != nil {
 		return fmt.Errorf("mediator: node %d unreachable: %w", id, err)
@@ -158,24 +144,108 @@ func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link 
 	return nil
 }
 
-// clientList returns the management fan-out targets (DropCache,
-// SetProcesses): topology-registered clients in id order, or the legacy
-// fixed node slice.
+// clientList returns the registered clients in id order — also the
+// management fan-out targets (DropCache, SetProcesses).
 func (m *Mediator) clientList() []NodeClient {
-	if !m.replicated() {
-		return m.nodes
-	}
-	snap := m.snapshotTopo()
-	ids := make([]int, 0, len(snap.clients))
-	for id := range snap.clients {
+	m.topoMu.Lock()
+	defer m.topoMu.Unlock()
+	ids := make([]int, 0, len(m.clients))
+	for id := range m.clients {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	out := make([]NodeClient, len(ids))
 	for i, id := range ids {
-		out[i] = snap.clients[id]
+		out[i] = m.clients[id]
 	}
 	return out
+}
+
+// Topology returns a copy of the installed routing table.
+func (m *Mediator) Topology() Topology {
+	m.topoMu.Lock()
+	defer m.topoMu.Unlock()
+	return m.topo.clone()
+}
+
+// PartitionError rejects node descriptions whose owned ranges do not
+// partition the dataset's atom range, so no default topology can route
+// them: Range is owned by two nodes (Overlap) or by none. Two daemons
+// started with the same node index would otherwise double every point of
+// their shard, and a missing node would silently drop its shard, both
+// with Coverage 1. Retrying cannot help, so the error is permanent.
+type PartitionError struct {
+	Range   morton.Range
+	Overlap bool
+	// Nodes are the two nodes claiming Range (Overlap only).
+	Nodes [2]int
+}
+
+func (e *PartitionError) Error() string {
+	if e.Overlap {
+		return fmt.Sprintf("mediator: nodes %d and %d both own atoms [%d, %d)", e.Nodes[0], e.Nodes[1], uint64(e.Range.Lo), uint64(e.Range.Hi))
+	}
+	return fmt.Sprintf("mediator: no node owns atoms [%d, %d)", uint64(e.Range.Lo), uint64(e.Range.Hi))
+}
+
+// Transient classifies the error as permanent.
+func (e *PartitionError) Transient() bool { return false }
+
+// defaultTopology derives the routing table from the nodes' descriptions:
+// range i is node i's owned range, held by node i and then by every other
+// node whose advertised holdings cover it. The owned ranges must partition
+// the dataset's atom range.
+func defaultTopology(descs []node.Description) (Topology, error) {
+	if err := checkPartition(descs); err != nil {
+		return Topology{}, err
+	}
+	t := Topology{Version: 1, Ranges: make([]morton.Range, len(descs)), Owners: make([][]int, len(descs))}
+	for i, d := range descs {
+		t.Ranges[i] = d.Owned
+		t.Owners[i] = []int{i}
+		for j, dj := range descs {
+			if j == i {
+				continue
+			}
+			for _, h := range dj.Held {
+				if h.Lo <= d.Owned.Lo && d.Owned.Hi <= h.Hi {
+					t.Owners[i] = append(t.Owners[i], j)
+					break
+				}
+			}
+		}
+	}
+	return t, nil
+}
+
+// checkPartition walks the non-empty owned ranges in code order and
+// reports the first overlap or uncovered stretch of the atom range.
+func checkPartition(descs []node.Description) error {
+	idx := make([]int, 0, len(descs))
+	for i, d := range descs {
+		if !d.Owned.Empty() {
+			idx = append(idx, i)
+		}
+	}
+	sort.Slice(idx, func(a, b int) bool { return descs[idx[a]].Owned.Lo < descs[idx[b]].Owned.Lo })
+	all := descs[0].Grid.AtomRange()
+	next, prev := all.Lo, -1 // next uncovered code, and the node covering up to it
+	for _, i := range idx {
+		r := descs[i].Owned
+		if r.Lo > next {
+			return &PartitionError{Range: morton.Range{Lo: next, Hi: r.Lo}}
+		}
+		if r.Lo < next && prev >= 0 {
+			return &PartitionError{Range: morton.Range{Lo: r.Lo, Hi: min(r.Hi, next)}, Overlap: true, Nodes: [2]int{prev, i}}
+		}
+		if r.Hi > next {
+			next, prev = r.Hi, i
+		}
+	}
+	if next < all.Hi {
+		return &PartitionError{Range: morton.Range{Lo: next, Hi: all.Hi}}
+	}
+	return nil
 }
 
 // routeOrder returns the failover order for one range's owner list: Alive
@@ -215,37 +285,33 @@ func (m *Mediator) routeOrder(snap topoSnapshot, owners []int) []int {
 	return out
 }
 
-// fanResult is the outcome of one replicated fan-out.
-type fanResult[T any] struct {
-	// results are the successful per-RPC answers, each covering one or more
-	// ranges exactly once — merging them never double-counts a cell.
-	results []T
-	// failed are the ranges every replica was down for.
-	failed []NodeFailure
-	// reroutes counts range re-assignments to a replica after a failure.
-	reroutes int
-	// total is the cell count across all non-empty topology ranges; ranges
-	// is how many there are.
-	total  uint64
-	ranges int
-}
-
-// fanoutReplicated runs one query's replica-aware fan-out: every non-empty
-// topology range is routed to its first live owner, ranges are grouped per
-// node into one scan-restricted RPC, and on a transient (or
+// scatter runs one query's fan-out over the installed topology: every
+// non-empty range is routed to its first live owner, ranges are grouped
+// per node into one scan-restricted call, and on a transient (or
 // retries-exhausted) failure the affected ranges advance to their next
-// untried replica in further rounds. A range ends up in failed only when
-// every replica is down; a non-transient error fails the whole query, as
-// in the legacy fan-out.
-func fanoutReplicated[T any](
+// untried owner in further rounds. In simulation mode each call is charged
+// its request and respBytes response on the node's link. The ranges whose
+// every owner was down, and the reroutes, are accounted into stats (see
+// collectRangeFailures); a non-transient error fails the whole query.
+// Every successful answer covers its ranges exactly once, so merging the
+// returned answers never double-counts a cell.
+func scatter[T any](
 	m *Mediator,
 	ctx context.Context,
 	p *sim.Proc,
-	call func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (T, error),
-) (fanResult[T], error) {
+	stats *QueryStats,
+	call func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (T, error),
+	respBytes func(T) int,
+) ([]T, error) {
 	snap := m.snapshotTopo()
 	t := snap.topo
-	var fr fanResult[T]
+	var (
+		answers  []T
+		failed   []NodeFailure
+		reroutes int
+		total    uint64 // cells across the non-empty ranges
+		ranges   int    // how many non-empty ranges there are
+	)
 
 	type assignment struct {
 		ri     int   // index into t.Ranges
@@ -258,8 +324,8 @@ func fanoutReplicated[T any](
 		if r.Empty() {
 			continue
 		}
-		fr.total += r.CellCount()
-		fr.ranges++
+		total += r.CellCount()
+		ranges++
 		pending = append(pending, &assignment{ri: i, owners: m.routeOrder(snap, t.Owners[i])})
 	}
 
@@ -282,7 +348,7 @@ func fanoutReplicated[T any](
 				if n := len(a.owners); n > 0 {
 					last = a.owners[n-1]
 				}
-				fr.failed = append(fr.failed, NodeFailure{Node: last, Owned: t.Ranges[a.ri], Err: err})
+				failed = append(failed, NodeFailure{Node: last, Owned: t.Ranges[a.ri], Err: err})
 				continue
 			}
 			groups[a.owners[a.next]] = append(groups[a.owners[a.next]], a)
@@ -313,9 +379,16 @@ func fanoutReplicated[T any](
 			// Canonical scan order keeps node-side cache keys stable across
 			// rounds and placements.
 			sort.Slice(scan, func(i, j int) bool { return scan[i].Lo < scan[j].Lo })
+			link := snap.links[id]
 			do := func(c context.Context) error {
+				if link != nil {
+					link.Transfer(wp, RequestWireBytes)
+				}
 				var err error
-				results[gi], err = call(c, wp, snap.clients[id], snap.links[id], scan)
+				results[gi], err = call(c, wp, snap.clients[id], scan)
+				if link != nil && err == nil {
+					link.Transfer(wp, respBytes(results[gi]))
+				}
 				return err
 			}
 			if ft := snap.fts[id]; ft != nil {
@@ -328,17 +401,17 @@ func fanoutReplicated[T any](
 		var next []*assignment
 		for gi, id := range ids {
 			if errs[gi] == nil {
-				fr.results = append(fr.results, results[gi])
+				answers = append(answers, results[gi])
 				continue
 			}
 			if !faulttol.Transient(errs[gi]) {
-				return fr, fmt.Errorf("mediator: node %d: %w", id, errs[gi])
+				return nil, fmt.Errorf("mediator: node %d: %w", id, errs[gi])
 			}
 			for _, a := range groups[id] {
 				a.err = errs[gi]
 				a.next++
 				if a.next < len(a.owners) {
-					fr.reroutes++
+					reroutes++
 				}
 				next = append(next, a)
 			}
@@ -346,18 +419,21 @@ func fanoutReplicated[T any](
 		pending = next
 		round++
 	}
-	if fr.reroutes > 0 {
-		mReroutes.Add(int64(fr.reroutes))
+	if reroutes > 0 {
+		mReroutes.Add(int64(reroutes))
 	}
-	return fr, nil
+	if err := m.collectRangeFailures(failed, total, ranges, stats); err != nil {
+		return nil, err
+	}
+	stats.Reroutes = reroutes
+	return answers, nil
 }
 
-// collectRangeFailures is the replicated counterpart of collectFailures:
-// failures are ranges with every replica down. Strict mode (or a
-// non-degradable failure) fails the query; partial mode computes coverage
-// from the missing cells. A replica absorbing a primary failure never
-// reaches this function — the range simply is not in failures and coverage
-// stays 1.
+// collectRangeFailures accounts the fan-out's failures: ranges with every
+// owner down. Strict mode (or a non-degradable failure) fails the query;
+// partial mode computes coverage from the missing cells. A replica
+// absorbing a primary failure never reaches this function — the range
+// simply is not in failures and coverage stays 1.
 func (m *Mediator) collectRangeFailures(failures []NodeFailure, total uint64, ranges int, stats *QueryStats) error {
 	stats.Coverage = 1
 	if len(failures) == 0 {
@@ -383,170 +459,4 @@ func (m *Mediator) collectRangeFailures(failures []NodeFailure, total uint64, ra
 	}
 	stats.Failures = failures
 	return nil
-}
-
-// thresholdReplicated is Threshold's replica-aware fan-out and merge.
-func (m *Mediator) thresholdReplicated(ctx context.Context, p *sim.Proc, q query.Threshold, stats *QueryStats, start time.Duration) ([]query.ResultPoint, *QueryStats, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.ThresholdResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
-		qq := q
-		qq.Scan = scan
-		r, err := cli.GetThreshold(ctx, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, query.WireBytes(len(r.Points)))
-		}
-		return r, err
-	})
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	fanout := m.exec.Now() - start
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, stats); err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	stats.Reroutes = fr.reroutes
-
-	_, msp := obs.StartSpan(ctx, "merge")
-	parts := make([][]query.ResultPoint, 0, len(fr.results))
-	total := 0
-	for _, r := range fr.results {
-		parts = append(parts, r.Points)
-		total += len(r.Points)
-		stats.NodeCritical.Max(r.Breakdown)
-		if r.FromCache {
-			stats.CacheHits++
-		}
-		stats.ResponseBytes += query.WireBytes(len(r.Points))
-	}
-	if total > q.Limit {
-		msp.End()
-		mQueryErrs.Inc()
-		return nil, nil, &query.ErrTooManyPoints{Limit: q.Limit, Seen: total}
-	}
-	// Re-routed scans make one node's result span several disjoint ranges,
-	// so the k-way merge (merge.go) does real interleaving here.
-	pts := mergeSortedPoints(parts)
-	msp.End()
-
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	_, dsp := obs.StartSpan(ctx, "deliver")
-	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(pts)))
-	}
-	dsp.End()
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Points = len(pts)
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
-	return pts, stats, nil
-}
-
-// pdfReplicated is PDF's replica-aware fan-out and merge.
-func (m *Mediator) pdfReplicated(ctx context.Context, p *sim.Proc, q query.PDF, stats *QueryStats, start time.Duration) ([]int64, *QueryStats, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.PDFResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
-		qq := q
-		qq.Scan = scan
-		r, err := cli.GetPDF(ctx, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, 16*q.Bins)
-		}
-		return r, err
-	})
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	fanout := m.exec.Now() - start
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, stats); err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	stats.Reroutes = fr.reroutes
-
-	_, msp := obs.StartSpan(ctx, "merge")
-	counts := make([]int64, q.Bins)
-	for _, r := range fr.results {
-		for j, c := range r.Counts {
-			counts[j] += c
-		}
-		stats.NodeCritical.Max(r.Breakdown)
-	}
-	msp.End()
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, 16*q.Bins)
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
-	return counts, stats, nil
-}
-
-// topKReplicated is TopK's replica-aware fan-out and merge.
-func (m *Mediator) topKReplicated(ctx context.Context, p *sim.Proc, q query.TopK, stats *QueryStats, start time.Duration) ([]query.ResultPoint, *QueryStats, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.TopKResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
-		qq := q
-		qq.Scan = scan
-		r, err := cli.GetTopK(ctx, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, query.WireBytes(len(r.Points)))
-		}
-		return r, err
-	})
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	fanout := m.exec.Now() - start
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, stats); err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	stats.Reroutes = fr.reroutes
-
-	var all []query.ResultPoint
-	for _, r := range fr.results {
-		all = append(all, r.Points...)
-		stats.NodeCritical.Max(r.Breakdown)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Value != all[j].Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
-			return all[i].Value > all[j].Value
-		}
-		return all[i].Code < all[j].Code
-	})
-	if len(all) > q.K {
-		all = all[:q.K]
-	}
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(all)))
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Points = len(all)
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
-	return all, stats, nil
 }

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/morton"
+	"github.com/turbdb/turbdb/internal/node"
 )
 
 // transientErr is a minimal availability-class failure for the tables.
@@ -150,16 +152,109 @@ func TestErrReplicasDownIsTransient(t *testing.T) {
 	}
 }
 
-// TestTopologyValidation pins the routing-table install rules.
+// TestTopologyValidation pins the default routing table New derives from
+// the nodes' descriptions and the routing-table install rules.
 func TestTopologyValidation(t *testing.T) {
 	nodes, _ := buildNodes(t, 2)
 	m := mediatorOver(t, nodes)
-	// A mediator assembled without a topology rejects installs outright.
-	err := m.UpdateTopology(Topology{Version: 2})
-	if err == nil || !strings.Contains(err.Error(), "not assembled with a topology") {
-		t.Fatalf("UpdateTopology on a legacy mediator: %v", err)
+	topo := m.Topology()
+	if len(topo.Ranges) != 2 || len(topo.Owners) != 2 {
+		t.Fatalf("default topology %+v, want one range per node", topo)
 	}
-	if m.replicated() {
-		t.Fatal("legacy mediator claims to be replicated")
+	for i, n := range nodes {
+		if topo.Ranges[i] != n.Owned() {
+			t.Errorf("range %d = %v, want node %d's owned range %v", i, topo.Ranges[i], i, n.Owned())
+		}
+		if len(topo.Owners[i]) != 1 || topo.Owners[i][0] != i {
+			t.Errorf("owners of range %d = %v, want [%d]", i, topo.Owners[i], i)
+		}
+	}
+	// Topology hands out a copy: mutating it leaves the installed table alone.
+	topo.Owners[0][0] = 1
+	if m.Topology().Owners[0][0] != 0 {
+		t.Fatal("Topology returned the installed table, not a copy")
+	}
+
+	err := m.UpdateTopology(Topology{Version: 2, Ranges: topo.Ranges, Owners: [][]int{{0}, {7}}})
+	if err == nil || !strings.Contains(err.Error(), "owner 7 of range 1 is not registered") {
+		t.Fatalf("UpdateTopology with an unregistered owner: %v", err)
+	}
+	err = m.UpdateTopology(Topology{Version: 2, Ranges: topo.Ranges, Owners: [][]int{{0}}})
+	if err == nil || !strings.Contains(err.Error(), "2 ranges but 1 owner lists") {
+		t.Fatalf("UpdateTopology with a length mismatch: %v", err)
+	}
+	if faulttol.Transient(err) {
+		t.Fatal("a malformed topology must be a permanent error")
+	}
+}
+
+// ownedAs reports a different owned range than its node really owns — a
+// misconfigured daemon, as New sees it.
+type ownedAs struct {
+	NodeClient
+	owned morton.Range
+}
+
+func (o ownedAs) Describe(ctx context.Context) (node.Description, error) {
+	d, err := o.NodeClient.Describe(ctx)
+	d.Owned, d.Held = o.owned, nil
+	return d, err
+}
+
+// TestNewRejectsBadPartition: without an explicit topology, the nodes'
+// owned ranges must partition the atom range exactly. Two daemons started
+// with the same node index (overlap) or a missing node (gap) would
+// otherwise double or drop a shard while still reporting Coverage 1.
+func TestNewRejectsBadPartition(t *testing.T) {
+	nodes, gen := buildNodes(t, 3)
+	all := gen.Grid().AtomRange()
+	r := func(lo, hi morton.Code) morton.Range { return morton.Range{Lo: lo, Hi: hi} }
+	a, b := nodes[0].Owned(), nodes[1].Owned()
+	cases := []struct {
+		name    string
+		owned   []morton.Range
+		overlap bool
+		bad     morton.Range // want the error to name this range
+		nodes   [2]int       // overlap only
+	}{
+		{name: "partition", owned: []morton.Range{a, b, nodes[2].Owned()}},
+		{name: "order does not matter", owned: []morton.Range{nodes[2].Owned(), a, b}},
+		{name: "an empty range beside a partition", owned: []morton.Range{all, {}}},
+		{name: "duplicate node index", owned: []morton.Range{a, a, r(b.Lo, all.Hi)}, overlap: true, bad: a, nodes: [2]int{0, 1}},
+		{name: "partial overlap", owned: []morton.Range{r(all.Lo, b.Lo+1), b, r(b.Hi, all.Hi)}, overlap: true, bad: r(b.Lo, b.Lo+1), nodes: [2]int{0, 1}},
+		{name: "missing middle node", owned: []morton.Range{a, r(b.Hi, all.Hi)}, bad: b},
+		{name: "missing first node", owned: []morton.Range{b, r(b.Hi, all.Hi)}, bad: a},
+		{name: "missing last node", owned: []morton.Range{a, b}, bad: r(b.Hi, all.Hi)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clients := make([]NodeClient, len(tc.owned))
+			for i, o := range tc.owned {
+				clients[i] = ownedAs{NodeClient: nodes[i], owned: o}
+			}
+			_, err := New(Config{Nodes: clients})
+			if tc.bad.Empty() {
+				if err != nil {
+					t.Fatalf("valid partition rejected: %v", err)
+				}
+				return
+			}
+			var pe *PartitionError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *PartitionError", err)
+			}
+			if pe.Overlap != tc.overlap || pe.Range != tc.bad || (tc.overlap && pe.Nodes != tc.nodes) {
+				t.Fatalf("got %+v, want overlap=%v range %v nodes %v", pe, tc.overlap, tc.bad, tc.nodes)
+			}
+			if faulttol.Transient(err) {
+				t.Fatal("a bad partition must be a permanent error")
+			}
+		})
+	}
+	// An explicit topology is the caller's to validate: New installs it as
+	// given, whatever the nodes' owned ranges.
+	clients := []NodeClient{ownedAs{NodeClient: nodes[0], owned: a}, ownedAs{NodeClient: nodes[1], owned: a}}
+	if _, err := New(Config{Nodes: clients, Topology: &Topology{Ranges: []morton.Range{all}, Owners: [][]int{{0, 1}}}}); err != nil {
+		t.Fatalf("explicit topology rejected: %v", err)
 	}
 }

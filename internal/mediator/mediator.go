@@ -4,6 +4,14 @@
 // submits the parts asynchronously to the database nodes, assembles the
 // distributed results, and returns them to the user.
 //
+// The partitioning is a routing table (Topology): contiguous Morton ranges
+// and, per range, the nodes holding it, primary first. By default New
+// derives it from the nodes' descriptions — each node's owned range plus
+// the replica holdings the nodes advertise — so an unreplicated cluster is
+// simply a topology with one owner per range. Every query, solo or
+// batched, takes the same path: one scan-restricted RPC per node for the
+// ranges routed to it.
+//
 // The mediator also produces the query-time accounting the paper's Fig. 9
 // breakdowns report: per-phase node times (cache lookup, I/O, compute) on
 // the cluster critical path, mediator↔DB communication, and mediator↔user
@@ -12,9 +20,10 @@
 // On a real cluster the mediator must survive slow and dead nodes. Every
 // node RPC runs under a per-node circuit breaker and a retry policy with
 // exponential backoff whose budget never exceeds the caller's context
-// deadline. When a node stays unreachable, strict mode (the default)
+// deadline. A range whose node stays unreachable fails over to the next
+// node holding it. When every holder is down, strict mode (the default)
 // fails the query with the node's error; partial mode (Config.
-// AllowPartial) answers from the surviving nodes and annotates QueryStats
+// AllowPartial) answers from the surviving ranges and annotates QueryStats
 // with the fraction of the Morton space that was actually scanned.
 package mediator
 
@@ -56,6 +65,10 @@ const RequestWireBytes = 512
 // cancellation and deadlines.
 type NodeClient interface {
 	GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*node.ThresholdResult, error)
+	// GetThresholdBatch evaluates several threshold queries over the same
+	// (field, order, step, scan) in one shared pass; see
+	// (*node.Node).GetThresholdBatch.
+	GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error)
 	GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*node.PDFResult, error)
 	GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*node.TopKResult, error)
 	DropCacheEntry(ctx context.Context, fieldName string, order, step int) error
@@ -63,9 +76,16 @@ type NodeClient interface {
 	Describe(ctx context.Context) (node.Description, error)
 }
 
+// BatchNodeClient is the former name of the batch-capable client view,
+// which every NodeClient now is. The alias stays only because the
+// end-to-end benchmark module (e2ebench) names it and is changed together
+// with its recorded baseline, not alongside the mediator.
+type BatchNodeClient = NodeClient
+
 // Config assembles a Mediator.
 type Config struct {
-	// Nodes are the database nodes serving this mediator's dataset.
+	// Nodes are the database nodes serving this mediator's dataset. Node i
+	// is registered under id i; further nodes join via RegisterNode.
 	Nodes []NodeClient
 	// Kernel enables simulation mode (asynchronous submission as DES
 	// processes, communication charged to links). nil = real mode.
@@ -76,12 +96,12 @@ type Config struct {
 	// UserLink is the mediator↔user path; required in simulation mode.
 	UserLink *netmodel.Link
 
-	// AllowPartial degrades gracefully when a node stays unreachable
-	// after retries: the query is answered from the surviving nodes and
-	// QueryStats records Coverage < 1 plus the per-node failures. Strict
-	// mode (false, the default) keeps all-or-nothing semantics. Only
-	// availability-class (transient) failures are degradable — a node
-	// rejecting the query as malformed always fails it.
+	// AllowPartial degrades gracefully when every holder of a Morton range
+	// stays unreachable after retries: the query is answered from the
+	// surviving ranges and QueryStats records Coverage < 1 plus the
+	// failed ranges. Strict mode (false, the default) keeps all-or-nothing
+	// semantics. Only availability-class (transient) failures are
+	// degradable — a node rejecting the query as malformed always fails it.
 	AllowPartial bool
 	// Retry overrides the per-node retry policy; nil uses
 	// faulttol.DefaultPolicy(). Set MaxAttempts to 1 to disable retries.
@@ -94,37 +114,34 @@ type Config struct {
 	// means context.Background().
 	DescribeCtx context.Context
 
-	// Topology enables replica-aware routing: the fan-out targets ranges
+	// Topology is the initial routing table: the fan-out targets ranges
 	// (not nodes), each range is sent to its first live owner, and a
-	// failed range fails over to the next replica before partial mode is
-	// even considered. Node i of Nodes is registered under id i; further
-	// nodes join via RegisterNode. nil keeps the legacy one-node-per-shard
-	// fan-out.
+	// failed range fails over to the next owner before partial mode is
+	// even considered. nil derives it from the nodes' descriptions: range
+	// i is node i's owned range, held by node i and then by every other
+	// node whose advertised holdings cover it. The owned ranges must then
+	// partition the dataset's atom range (*PartitionError otherwise).
 	Topology *Topology
-	// Members tracks node lifecycle and health for topology routing;
-	// required when Topology is set. Breaker transitions feed back into it
-	// (open marks the node Suspect, closed marks it Alive).
+	// Members tracks node lifecycle and health for routing; nil treats
+	// every registered node as serving. Breaker transitions feed back into
+	// it (open marks the node Suspect, closed marks it Alive).
 	Members *membership.Table
 }
 
 // Mediator is the query front end. Safe for concurrent use in real mode.
 type Mediator struct {
-	nodes     []NodeClient
-	descs     []node.Description
-	kernel    *sim.Kernel
-	nodeLinks []*netmodel.Link
-	userLink  *netmodel.Link
-	exec      *node.Exec
+	desc     node.Description // node 0's: the dataset and its geometry
+	kernel   *sim.Kernel
+	userLink *netmodel.Link
+	exec     *node.Exec
 
 	allowPartial bool
-	ft           []*faulttol.Executor // nil in simulation mode
+	members      *membership.Table // nil: every registered node serves
+	policy       faulttol.Policy   // retry/breaker tuning, real mode only
+	bcfg         faulttol.BreakerConfig
 
-	members *membership.Table // nil outside topology routing
-	policy  faulttol.Policy   // retry/breaker tuning for late-registered nodes
-	bcfg    faulttol.BreakerConfig
-
-	// Topology routing state. nil maps mean the mediator was assembled
-	// without a topology and the legacy fixed fan-out is in effect.
+	// Routing state: the installed topology and every registered node with
+	// its retry/breaker executor (real mode) and link (simulation mode).
 	//
 	//turbdb:lockrank mediator.topology 12
 	topoMu  sync.Mutex
@@ -135,9 +152,9 @@ type Mediator struct {
 }
 
 // New validates the config, contacts every node for its description
-// (dataset, geometry, owned range) and builds a Mediator. A node that is
-// unreachable at assembly time is a constructor error — queries never
-// panic on an unavailable topology.
+// (dataset, geometry, owned and held ranges) and builds a Mediator. A node
+// that is unreachable at assembly time is a constructor error — queries
+// never panic on an unavailable topology.
 //
 //turbdb:ignore ctxpropagate the Describe round-trips are bounded by cfg.DescribeCtx; a ctx parameter would duplicate the config field
 func New(cfg Config) (*Mediator, error) {
@@ -170,11 +187,17 @@ func New(cfg Config) (*Mediator, error) {
 			return nil, faulttol.Permanent("mediator: user link required in simulation mode")
 		}
 	}
+	topo := cfg.Topology
+	if topo == nil {
+		t, err := defaultTopology(descs)
+		if err != nil {
+			return nil, err
+		}
+		topo = &t
+	}
 	m := &Mediator{
-		nodes:        cfg.Nodes,
-		descs:        descs,
+		desc:         descs[0],
 		kernel:       cfg.Kernel,
-		nodeLinks:    cfg.NodeLinks,
 		userLink:     cfg.UserLink,
 		exec:         &node.Exec{Kernel: cfg.Kernel},
 		allowPartial: cfg.AllowPartial,
@@ -191,32 +214,22 @@ func New(cfg Config) (*Mediator, error) {
 		if cfg.Breaker != nil {
 			m.bcfg = *cfg.Breaker
 		}
-		m.ft = make([]*faulttol.Executor, len(cfg.Nodes))
-		for i := range m.ft {
-			m.ft[i] = m.newExecutor(i)
+	}
+	m.topoMu.Lock()
+	m.clients = make(map[int]NodeClient, len(cfg.Nodes))
+	m.fts = make(map[int]*faulttol.Executor, len(cfg.Nodes))
+	m.links = make(map[int]*netmodel.Link, len(cfg.Nodes))
+	for i, n := range cfg.Nodes {
+		m.clients[i] = n
+		if cfg.Kernel == nil {
+			m.fts[i] = m.newExecutor(i)
+		} else {
+			m.links[i] = cfg.NodeLinks[i]
 		}
 	}
-	if cfg.Topology != nil {
-		if cfg.Members == nil {
-			return nil, faulttol.Permanent("mediator: a topology requires a membership table")
-		}
-		m.topoMu.Lock()
-		m.clients = make(map[int]NodeClient, len(cfg.Nodes))
-		m.fts = make(map[int]*faulttol.Executor, len(cfg.Nodes))
-		m.links = make(map[int]*netmodel.Link, len(cfg.Nodes))
-		for i, n := range cfg.Nodes {
-			m.clients[i] = n
-			if m.ft != nil {
-				m.fts[i] = m.ft[i]
-			}
-			if cfg.Kernel != nil {
-				m.links[i] = cfg.NodeLinks[i]
-			}
-		}
-		m.topoMu.Unlock()
-		if err := m.UpdateTopology(*cfg.Topology); err != nil {
-			return nil, err
-		}
+	m.topoMu.Unlock()
+	if err := m.UpdateTopology(*topo); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -246,11 +259,16 @@ func (m *Mediator) newExecutor(id int) *faulttol.Executor {
 	return &faulttol.Executor{Policy: m.policy, Breaker: faulttol.NewBreaker(nbcfg)}
 }
 
-// Nodes returns the mediator's node clients.
-func (m *Mediator) Nodes() []NodeClient { return m.nodes }
+// Nodes returns the registered node clients in id order — the nodes
+// given to New, followed by any registered later.
+func (m *Mediator) Nodes() []NodeClient { return m.clientList() }
 
-// NodeCount returns the number of node clients in the fan-out.
-func (m *Mediator) NodeCount() int { return len(m.nodes) }
+// NodeCount returns the number of registered node clients.
+func (m *Mediator) NodeCount() int {
+	m.topoMu.Lock()
+	defer m.topoMu.Unlock()
+	return len(m.clients)
+}
 
 // Simulated reports whether the mediator runs on a DES kernel (virtual
 // time). The concurrent scheduler refuses simulated mediators: its batching
@@ -258,18 +276,14 @@ func (m *Mediator) NodeCount() int { return len(m.nodes) }
 func (m *Mediator) Simulated() bool { return m.kernel != nil }
 
 // Grid returns the dataset geometry (cached at assembly time).
-func (m *Mediator) Grid() grid.Grid { return m.descs[0].Grid }
+func (m *Mediator) Grid() grid.Grid { return m.desc.Grid }
 
 // Dataset returns the dataset name served (cached at assembly time).
-func (m *Mediator) Dataset() string { return m.descs[0].Dataset }
+func (m *Mediator) Dataset() string { return m.desc.Dataset }
 
 // BreakerState reports node i's circuit-breaker state (Closed in
-// simulation mode, where breakers are disabled). Nodes registered after
-// assembly are looked up in the topology routing state.
+// simulation mode, where breakers are disabled).
 func (m *Mediator) BreakerState(i int) faulttol.State {
-	if m.ft != nil && i < len(m.ft) && m.ft[i].Breaker != nil {
-		return m.ft[i].Breaker.State()
-	}
 	m.topoMu.Lock()
 	ft := m.fts[i]
 	m.topoMu.Unlock()
@@ -279,13 +293,14 @@ func (m *Mediator) BreakerState(i int) faulttol.State {
 	return faulttol.Closed
 }
 
-// NodeFailure records one node the mediator degraded around in a partial
-// answer.
+// NodeFailure records one Morton range the mediator degraded around in a
+// partial answer.
 type NodeFailure struct {
-	// Node is the node index within the cluster.
+	// Node is the last node tried for the range (-1 when the range had no
+	// owner to try).
 	Node int
-	// Owned is the Morton range the node owns — the part of the domain
-	// the answer is missing.
+	// Owned is the Morton range — the part of the domain the answer is
+	// missing.
 	Owned morton.Range
 	// Err is the failure after retries (or the open circuit).
 	Err error
@@ -307,21 +322,21 @@ type QueryStats struct {
 	MediatorUserComm time.Duration
 	// Points is the result size.
 	Points int
-	// CacheHits counts nodes that answered from their semantic cache.
+	// CacheHits counts node answers served from their semantic cache.
 	CacheHits int
 	// ResponseBytes is the total modeled size of node responses.
 	ResponseBytes int
 
-	// Coverage is the fraction of the dataset's Morton codes whose owning
-	// node contributed to the answer: 1 for a complete answer, < 1 when
+	// Coverage is the fraction of the dataset's Morton codes whose range
+	// contributed to the answer: 1 for a complete answer, < 1 when
 	// partial mode degraded around dead nodes.
 	Coverage float64
-	// Failures lists the nodes the answer is missing (partial mode only;
-	// nil for a complete answer). Under replication an entry means every
-	// replica of the range was down.
+	// Failures lists the ranges the answer is missing (partial mode only;
+	// nil for a complete answer). An entry means every node holding the
+	// range was down.
 	Failures []NodeFailure
-	// Reroutes counts Morton ranges re-routed to a replica after a
-	// failure during this query (replicated topologies only).
+	// Reroutes counts Morton ranges re-routed to another holder after a
+	// failure during this query.
 	Reroutes int
 
 	// QueueWait is the time the query spent in the scheduler's admission
@@ -345,57 +360,21 @@ type QueryStats struct {
 // Partial reports whether this answer is missing part of the domain.
 func (s *QueryStats) Partial() bool { return len(s.Failures) > 0 }
 
-// callNode runs one node RPC under the node's breaker and retry policy
-// (a direct call in simulation mode).
-func (m *Mediator) callNode(ctx context.Context, i int, op func(context.Context) error) error {
-	if m.ft == nil {
-		return op(ctx)
+// noteQuery records the cluster-level metrics of one completed query.
+func (m *Mediator) noteQuery(stats *QueryStats) {
+	mQueries.Inc()
+	mQuerySeconds.Observe(stats.Total.Seconds())
+	mCoverage.Observe(stats.Coverage)
+	if stats.Partial() {
+		mPartialAns.Inc()
 	}
-	return m.ft[i].Do(ctx, op)
-}
-
-// collectFailures partitions per-node fan-out errors into a fatal error
-// (strict mode, or a non-degradable failure) and the recorded partial-
-// mode failures, and computes the Morton-space coverage of the answer.
-func (m *Mediator) collectFailures(errs []error, stats *QueryStats) error {
-	stats.Coverage = 1
-	var failures []NodeFailure
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !m.allowPartial || !faulttol.Transient(err) {
-			return fmt.Errorf("mediator: node %d: %w", i, err)
-		}
-		failures = append(failures, NodeFailure{Node: i, Owned: m.descs[i].Owned, Err: err})
-	}
-	if len(failures) == 0 {
-		return nil
-	}
-	if len(failures) == len(m.nodes) {
-		return fmt.Errorf("mediator: all %d nodes failed, first: %w", len(m.nodes), failures[0].Err)
-	}
-	var total, missing uint64
-	for i := range m.nodes {
-		total += m.descs[i].Owned.CellCount()
-	}
-	for _, f := range failures {
-		missing += f.Owned.CellCount()
-	}
-	if total > 0 {
-		stats.Coverage = 1 - float64(missing)/float64(total)
-	} else {
-		// Degenerate topology (unknown ranges): fall back to node counts.
-		stats.Coverage = 1 - float64(len(failures))/float64(len(m.nodes))
-	}
-	stats.Failures = failures
-	return nil
 }
 
 // Threshold evaluates a threshold query across the cluster: the query is
-// submitted to every node asynchronously, per-node results are merged and
-// ordered, the global result limit is enforced, and the result is delivered
-// to the user. ctx bounds the whole fan-out, including retries.
+// submitted asynchronously to the first live owner of every topology
+// range, per-node results are merged in code order, the global result
+// limit is enforced, and the result is delivered to the user. ctx bounds
+// the whole fan-out, including retries and failover.
 func (m *Mediator) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold) ([]query.ResultPoint, *QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -414,85 +393,70 @@ func (m *Mediator) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold
 
 	stats := &QueryStats{Trace: obs.TraceFrom(ctx)}
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.thresholdReplicated(ctx, p, q, stats, start)
-	}
-
-	results := make([]*node.ThresholdResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
-		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := m.nodes[i].GetThreshold(ctx, wp, q)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, query.WireBytes(len(results[i].Points)))
-		}
-	})
-	fanout := m.exec.Now() - start
-	if err := m.collectFailures(errs, stats); err != nil {
+	results, err := scatter(m, ctx, p, stats, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.ThresholdResult, error) {
+		qq := q
+		qq.Scan = scan
+		return cli.GetThreshold(ctx, wp, qq)
+	}, func(r *node.ThresholdResult) int { return query.WireBytes(len(r.Points)) })
+	if err != nil {
 		mQueryErrs.Inc()
 		return nil, nil, err
 	}
+	fanout := m.exec.Now() - start
 
 	_, msp := obs.StartSpan(ctx, "merge")
-	parts := make([][]query.ResultPoint, 0, len(results))
-	total := 0
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
-		parts = append(parts, r.Points)
-		total += len(r.Points)
-		stats.NodeCritical.Max(r.Breakdown)
-		if r.FromCache {
-			stats.CacheHits++
-		}
-		stats.ResponseBytes += query.WireBytes(len(r.Points))
-	}
-	if total > q.Limit {
-		msp.End()
-		mQueryErrs.Inc()
-		return nil, nil, &query.ErrTooManyPoints{Limit: q.Limit, Seen: total}
-	}
-	// Per-node results arrive code-sorted, so a streaming k-way merge
-	// replaces concatenate-and-resort (see merge.go).
-	pts := mergeSortedPoints(parts)
+	pts, err := mergeThreshold(results, q.Limit, stats)
 	msp.End()
-
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
+	if err != nil {
+		mQueryErrs.Inc()
+		return nil, nil, err
 	}
-
-	// deliver to the user
-	userStart := m.exec.Now()
-	_, dsp := obs.StartSpan(ctx, "deliver")
-	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(pts)))
-	}
-	dsp.End()
-	stats.MediatorUserComm = m.exec.Now() - userStart
 	stats.Points = len(pts)
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
+	m.deliver(ctx, p, stats, fanout, start, query.WireBytes(len(pts)))
 	return pts, stats, nil
 }
 
-// noteQuery records the cluster-level metrics of one completed query.
-func (m *Mediator) noteQuery(stats *QueryStats) {
-	mQueries.Inc()
-	mQuerySeconds.Observe(stats.Total.Seconds())
-	mCoverage.Observe(stats.Coverage)
-	if stats.Partial() {
-		mPartialAns.Inc()
+// mergeThreshold merges per-RPC threshold answers into one code-ordered
+// result and folds their accounting into st. More than limit points in
+// total is a *query.ErrTooManyPoints.
+func mergeThreshold(rs []*node.ThresholdResult, limit int, st *QueryStats) ([]query.ResultPoint, error) {
+	parts := make([][]query.ResultPoint, 0, len(rs))
+	total := 0
+	for _, r := range rs {
+		parts = append(parts, r.Points)
+		total += len(r.Points)
+		st.NodeCritical.Max(r.Breakdown)
+		if r.FromCache {
+			st.CacheHits++
+		}
+		if r.Shared > 1 {
+			st.SharedScan = true
+		}
+		st.ScansSaved += r.ScansSaved
+		st.ResponseBytes += query.WireBytes(len(r.Points))
 	}
+	if total > limit {
+		return nil, &query.ErrTooManyPoints{Limit: limit, Seen: total}
+	}
+	// Per-node results arrive code-sorted, so a streaming k-way merge
+	// replaces concatenate-and-resort (see merge.go).
+	return mergeSortedPoints(parts), nil
+}
+
+// deliver charges the answer's transfer to the user (bytes on the user
+// link in simulation mode) and closes the query's accounting: the part of
+// the fan-out time not spent in node phases is MediatorDBComm.
+func (m *Mediator) deliver(ctx context.Context, p *sim.Proc, stats *QueryStats, fanout, start time.Duration, bytes int) {
+	stats.MediatorDBComm = max(fanout-stats.NodeCritical.Total, 0)
+	userStart := m.exec.Now()
+	_, dsp := obs.StartSpan(ctx, "deliver")
+	if m.kernel != nil {
+		m.userLink.Transfer(p, bytes)
+	}
+	dsp.End()
+	stats.MediatorUserComm = m.exec.Now() - userStart
+	stats.Total = m.exec.Now() - start
+	m.noteQuery(stats)
 }
 
 // PDF evaluates a histogram query across the cluster and merges per-node
@@ -511,54 +475,26 @@ func (m *Mediator) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64, 
 	}
 	stats := &QueryStats{Trace: obs.TraceFrom(ctx)}
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.pdfReplicated(ctx, p, q, stats, start)
-	}
-	results := make([]*node.PDFResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
-		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := m.nodes[i].GetPDF(ctx, wp, q)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, 16*q.Bins)
-		}
-	})
-	fanout := m.exec.Now() - start
-	if err := m.collectFailures(errs, stats); err != nil {
+	results, err := scatter(m, ctx, p, stats, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.PDFResult, error) {
+		qq := q
+		qq.Scan = scan
+		return cli.GetPDF(ctx, wp, qq)
+	}, func(*node.PDFResult) int { return 16 * q.Bins })
+	if err != nil {
 		mQueryErrs.Inc()
 		return nil, nil, err
 	}
+	fanout := m.exec.Now() - start
 	_, msp := obs.StartSpan(ctx, "merge")
 	counts := make([]int64, q.Bins)
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
+	for _, r := range results {
 		for j, c := range r.Counts {
 			counts[j] += c
 		}
 		stats.NodeCritical.Max(r.Breakdown)
 	}
 	msp.End()
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, 16*q.Bins)
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
+	m.deliver(ctx, p, stats, fanout, start, 16*q.Bins)
 	return counts, stats, nil
 }
 
@@ -578,36 +514,18 @@ func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query
 	}
 	stats := &QueryStats{Trace: obs.TraceFrom(ctx)}
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.topKReplicated(ctx, p, q, stats, start)
-	}
-	results := make([]*node.TopKResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
-		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := m.nodes[i].GetTopK(ctx, wp, q)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, query.WireBytes(len(results[i].Points)))
-		}
-	})
-	fanout := m.exec.Now() - start
-	if err := m.collectFailures(errs, stats); err != nil {
+	results, err := scatter(m, ctx, p, stats, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.TopKResult, error) {
+		qq := q
+		qq.Scan = scan
+		return cli.GetTopK(ctx, wp, qq)
+	}, func(r *node.TopKResult) int { return query.WireBytes(len(r.Points)) })
+	if err != nil {
 		mQueryErrs.Inc()
 		return nil, nil, err
 	}
+	fanout := m.exec.Now() - start
 	var all []query.ResultPoint
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
+	for _, r := range results {
 		all = append(all, r.Points...)
 		stats.NodeCritical.Max(r.Breakdown)
 	}
@@ -620,18 +538,8 @@ func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query
 	if len(all) > q.K {
 		all = all[:q.K]
 	}
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(all)))
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
 	stats.Points = len(all)
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
+	m.deliver(ctx, p, stats, fanout, start, query.WireBytes(len(all)))
 	return all, stats, nil
 }
 

@@ -61,17 +61,31 @@ func sameScan(a, b []morton.Range) bool {
 
 // GetThresholdBatch evaluates several threshold queries over the same
 // (dataset, field, FD order, time-step, scan) in ONE pass over the union of
-// their boxes — the shared-scan entry point behind the mediator scheduler's
-// batching window. Per-point derived norms do not depend on the enclosing
-// scan box (the row kernels are row-start independent, proven bit-for-bit in
-// the kernel differential tests), so evaluating member i's predicate while
-// scanning the union box yields exactly the points a solo GetThreshold over
-// q_i.Box would have produced, in the same order after the Morton sort.
+// their boxes — the node's only threshold evaluator, behind both the
+// mediator scheduler's batching window and GetThreshold. Each member
+// follows the paper's Algorithm 1:
 //
-// The cache keeps its usual role: members whose answer is already cached are
-// served from it and excluded from the scan; members evaluated by the scan
-// are stored back individually, so a batch warms the cache exactly like the
-// equivalent solo queries would have.
+//  1. interrogate the local cache: an entry for (dataset, field, time-step)
+//     whose region contains the member's box and whose stored threshold is
+//     ≤ the requested one answers the member by an index scan;
+//  2. otherwise the member joins the shared pass, which reads the raw data
+//     (plus halo) into memory, derives the field at every grid location of
+//     the union box, and keeps for each member the locations inside its
+//     box whose norm is ≥ its threshold; the member's result is then
+//     stored in the cache, so a batch warms the cache exactly like the
+//     equivalent solo queries would have.
+//
+// Per-point derived norms do not depend on the enclosing scan box (the row
+// kernels are row-start independent, proven bit-for-bit in the kernel
+// differential tests), so evaluating member i's predicate while scanning
+// the union box yields exactly the points a one-member batch over q_i.Box
+// would have produced, in the same order after the Morton sort.
+//
+// A member over its q.Limit gets *query.ErrTooManyPoints and nothing is
+// cached for it; the pass aborts only once every member is over. ctx
+// bounds the evaluation: cancellation or an expired deadline aborts both
+// the I/O and compute phases between atoms. A nil ctx means no deadline
+// (accepted for in-process convenience).
 func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*ThresholdBatchResult, error) {
 	if len(qs) == 0 {
 		return nil, faulttol.Permanent("node: empty threshold batch")
@@ -156,24 +170,27 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 	// The shared pass covers the union bounding box of the active members.
 	scan := nqs[0].Scan
 	ub := nqs[active[0]].Box
+	minThreshold := nqs[active[0]].Threshold
 	for _, i := range active[1:] {
 		ub = unionBox(ub, nqs[i].Box)
+		minThreshold = min(minThreshold, nqs[i].Threshold)
 	}
-
-	// Scan-cost accounting: what each member would have read alone, versus
-	// the one union pass they share.
-	unionCodes, err := n.scanAtomsCovering(ub, scan)
+	codes, err := n.scanAtomsCovering(ub, scan)
 	if err != nil {
 		return nil, err
 	}
-	res.AtomsScanned = len(unionCodes)
-	wouldScan := make([]int, k)
-	for _, i := range active {
-		codes, err := n.scanAtomsCovering(nqs[i].Box, scan)
+	res.AtomsScanned = len(codes)
+
+	// Scan-cost accounting: the union pass is charged to the first active
+	// member, whose own box lies inside the union, so it saves nothing;
+	// every other member saves the whole scan it would have made alone.
+	saved := make([]int, k)
+	for _, i := range active[1:] {
+		own, err := n.scanAtomsCovering(nqs[i].Box, scan)
 		if err != nil {
 			return nil, err
 		}
-		wouldScan[i] = len(codes)
+		saved[i] = len(own)
 	}
 
 	// One evaluation pass; every point is tested against all live member
@@ -189,11 +206,18 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 		rows := make([][]query.ResultPoint, len(active))
 		perWorker[worker] = rows
 		return func(pt grid.Point, norm float64) bool {
+			// Almost every point qualifies for no member: one compare
+			// rejects it before the member loop.
+			if norm < minThreshold {
+				return true
+			}
+			accepted := false
 			for ai, qi := range active {
 				q := &nqs[qi]
 				if norm < q.Threshold || dead[qi].Load() || !q.Box.Contains(pt) {
 					continue
 				}
+				accepted = true
 				rows[ai] = append(rows[ai], query.PointFor(pt, norm))
 				if int(totals[qi].Add(1)) > q.Limit {
 					if !dead[qi].Swap(true) {
@@ -201,10 +225,11 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 					}
 				}
 			}
-			return alive.Load() > 0
+			// Only an accepted point can kill a member.
+			return !accepted || alive.Load() > 0
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, nqs[0].Timestep, ub, scan, hw, visitFor)
+	bd, err := n.evalPhases(ctx, p, f, st, nqs[0].Timestep, ub, codes, hw, visitFor)
 	if err != nil {
 		return nil, err
 	}
@@ -223,20 +248,12 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 		}
 		sort.Slice(pts, func(a, b int) bool { return pts[a].Code < pts[b].Code })
 
-		r := &ThresholdResult{Points: pts, Breakdown: bd, Shared: len(active)}
+		r := &ThresholdResult{Points: pts, Breakdown: bd, Shared: len(active), ScansSaved: saved[qi]}
 		r.Breakdown.CacheLookup = lookupDur[qi]
-		if pos == 0 {
-			// The union pass is charged to the first member; everyone else
-			// saves their whole solo scan.
-			r.ScansSaved = wouldScan[qi] - res.AtomsScanned
-			if r.ScansSaved < 0 {
-				r.ScansSaved = 0
-			}
-		} else {
-			r.ScansSaved = wouldScan[qi]
-		}
 
-		// A degraded (partial-halo) pass is never cached, same as solo.
+		// Caching is best-effort: a result too large for the cache is
+		// simply served uncached. A degraded (partial-halo) result is never
+		// cached — it would poison later complete queries.
 		if n.cache != nil && bd.AtomsSkipped == 0 {
 			t0 := n.exec.Now()
 			_, sp := obs.StartSpan(ctx, "cache_update")

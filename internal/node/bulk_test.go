@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime/debug"
 	"sort"
@@ -35,27 +36,33 @@ func exactPoints(t *testing.T, got, want []query.ResultPoint, context string) {
 	}
 }
 
-// Every standard-catalog field, every FD order, over a query box that clips
+// Every standard-catalog field, every FD order, over query boxes that clip
 // atom boundaries on all axes: the bulk engine must agree with the
 // per-point brute-force reference point for point, bit for bit.
 func TestThresholdClippedROIMatchesBruteForceExactly(t *testing.T) {
-	nodes, gen := buildCluster(t, 2, 16, synth.MHD, false, 2)
-	// Clips every atom it touches: not aligned to the 8-point atom grid.
-	qbox := grid.Box{Lo: grid.Point{X: 3, Y: 1, Z: 5}, Hi: grid.Point{X: 14, Y: 12, Z: 11}}
-	for _, name := range derived.Standard().Names() {
-		for _, order := range stencil.Orders() {
-			ref := bruteForce(t, gen, name, 0, order, 0)
-			var want []query.ResultPoint
-			for _, p := range ref {
-				if qbox.Contains(p.Coords()) {
-					want = append(want, p)
+	cases := []struct {
+		gridN int
+		boxes []grid.Box
+	}{
+		// Clips every atom it touches: not aligned to the 8-point atom grid.
+		{16, []grid.Box{{Lo: grid.Point{X: 3, Y: 1, Z: 5}, Hi: grid.Point{X: 14, Y: 12, Z: 11}}}},
+		// With four atoms per axis, the halo of a whole atom reaches atoms
+		// the halo of its clipped part does not.
+		{32, unalignedBoxes},
+	}
+	for _, tc := range cases {
+		nodes, gen := buildCluster(t, 2, tc.gridN, synth.MHD, false, 2)
+		for _, name := range derived.Standard().Names() {
+			for _, order := range stencil.Orders() {
+				ref := bruteForce(t, gen, name, 0, order, 0)
+				for bi, qbox := range tc.boxes {
+					got, _ := runThreshold(t, nodes, query.Threshold{
+						Dataset: "mhd", Field: name, Timestep: 0, Threshold: 0,
+						Box: qbox, FDOrder: order, Limit: 1 << 20,
+					})
+					exactPoints(t, got, inBox(ref, qbox), fmt.Sprintf("%d³ %s o%d box %d", tc.gridN, name, order, bi))
 				}
 			}
-			got, _ := runThreshold(t, nodes, query.Threshold{
-				Dataset: "mhd", Field: name, Timestep: 0, Threshold: 0,
-				Box: qbox, FDOrder: order, Limit: 1 << 20,
-			})
-			exactPoints(t, got, want, name)
 		}
 	}
 }

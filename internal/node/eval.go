@@ -161,17 +161,19 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rawField string, s
 		return workerData{err: err}
 	}
 
+	// scanShard assembles the halo of the whole atom, not just of its part
+	// inside qbox, so the gather fetches the same set.
 	needed := make(map[morton.Code]struct{}, len(shard)*2)
 	for _, c := range shard {
-		roi := g.AtomBox(c).Intersect(qbox)
-		if roi.Empty() {
+		abox := g.AtomBox(c)
+		if abox.Intersect(qbox).Empty() {
 			continue
 		}
 		if hw == 0 {
 			needed[c] = struct{}{}
 			continue
 		}
-		covers, err := g.AtomsCovering(roi.Expand(hw))
+		covers, err := g.AtomsCovering(abox.Expand(hw))
 		if err != nil {
 			return workerData{err: err}
 		}
@@ -471,10 +473,8 @@ func sortCodes(cs []morton.Code) {
 }
 
 // evalPhases runs the two-phase (I/O then compute) data-parallel evaluation
-// over this node's shard of qbox and reports phase timings. scan restricts
-// the shard to the given atom ranges (replica routing); empty means the
-// node's primary range. makeVisitor builds a per-worker visit callback plus
-// a completion hook.
+// over the atoms codes (this node's shard of qbox, from scanAtomsCovering)
+// and reports phase timings. visitFor builds each worker's visit callback.
 func (n *Node) evalPhases(
 	ctx context.Context,
 	p *sim.Proc,
@@ -482,16 +482,12 @@ func (n *Node) evalPhases(
 	st stencil.Stencil,
 	step int,
 	qbox grid.Box,
-	scan []morton.Range,
+	codes []morton.Code,
 	hw int,
 	visitFor func(worker int) func(pt grid.Point, norm float64) bool,
 ) (Breakdown, error) {
 	var bd Breakdown
 	procs := n.Processes()
-	codes, err := n.scanAtomsCovering(qbox, scan)
-	if err != nil {
-		return bd, err
-	}
 	shards := splitWork(codes, procs)
 
 	// Phase 1: I/O — every worker reads its shard plus halo into memory.

@@ -85,7 +85,11 @@ func (n *Node) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*PDFResult
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, visitFor)
+	codes, err := n.scanAtomsCovering(q.Box, q.Scan)
+	if err != nil {
+		return nil, err
+	}
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, codes, hw, visitFor)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +177,11 @@ func (n *Node) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*TopKRes
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, visitFor)
+	codes, err := n.scanAtomsCovering(q.Box, q.Scan)
+	if err != nil {
+		return nil, err
+	}
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, codes, hw, visitFor)
 	if err != nil {
 		return nil, err
 	}

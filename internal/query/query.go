@@ -78,9 +78,9 @@ type Threshold struct {
 	// Limit caps the result size; 0 = DefaultLimit.
 	Limit int
 	// Scan restricts the node-side scan to these atom-code ranges — the
-	// mediator's replica routing under k-way placement assigns each node
-	// exactly the ranges it answers for. Empty means the node's primary
-	// range (the legacy one-shard-per-node fan-out).
+	// mediator's topology routing assigns each node exactly the ranges it
+	// answers for. Empty means the node's primary range (a direct node
+	// caller).
 	Scan []morton.Range
 	// Tenant names the resource pool the query is admitted under
 	// (internal/sched); empty means the default pool. It does not affect

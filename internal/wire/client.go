@@ -296,7 +296,7 @@ func (c *Client) GetThreshold(ctx context.Context, _ *sim.Proc, q query.Threshol
 	}, nil
 }
 
-// GetThresholdBatch implements mediator.BatchNodeClient over HTTP: the
+// GetThresholdBatch implements mediator.NodeClient over HTTP: the
 // whole shared-scan batch travels as one request and the node evaluates it
 // in one pass. Per-member rejections come back as typed errors in Errs,
 // indexed like qs.

@@ -45,6 +45,12 @@ lane 'go test ./...'
 go test ./...
 lane_done
 
+# The end-to-end benchmark is a nested module that ./... skips: vet and test
+# it on its own so an API change that breaks its build fails here.
+lane 'e2ebench module: go vet + go test'
+(cd e2ebench && go vet ./... && go test ./...)
+lane_done
+
 lane 'go test -race -short ./...'
 go test -race -short ./...
 lane_done
